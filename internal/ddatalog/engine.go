@@ -88,9 +88,10 @@ type peerState struct {
 	derived    int
 	replicated int
 	installed  int              // rules installed at runtime (hook or wire.Install)
+	probes     int              // tuples handed to the join callback; not snapshotted
 	derivedBy  map[rel.Name]int // facts per head relation; tracked only while tracing
 	// Join scratch, reused across every evaluation at this peer: one
-	// key/resolved pair per body depth (joinFrom at depth j owns entry j;
+	// key/resolved pair per join step (joinFrom at step k owns entry k;
 	// deeper recursion uses higher entries) and one head-argument buffer
 	// (emit is not re-entrant — derivations queue in pending instead of
 	// recursing). Keeping these on the peer makes a delta join allocate
@@ -226,20 +227,7 @@ func NewEngineHosted(prog *Program, budget datalog.Budget, hosted []dist.PeerID)
 		if ps == nil {
 			continue
 		}
-		ps.rules = append(ps.rules, reintern(src, ps.store, r))
-	}
-	for i := range e.order {
-		ps := e.peers[e.order[i]]
-		for ri, r := range ps.rules {
-			cr := compileRule(r)
-			ps.noteArity(cr.headQ, len(r.Head.Args))
-			for ai, a := range r.Body {
-				q := cr.body[ai].q
-				ps.noteArity(q, len(a.Args))
-				ps.bodyIdx[q] = append(ps.bodyIdx[q], ruleAt{rule: ri, atom: ai})
-			}
-			ps.crules = append(ps.crules, cr)
-		}
+		ps.addRule(reintern(src, ps.store, r))
 	}
 	for _, f := range prog.Facts {
 		ps := e.peers[f.Peer]
@@ -269,6 +257,24 @@ func reintern(src, dst *term.Store, r PRule) PRule {
 		})
 	}
 	return out
+}
+
+// addRule appends a hosted rule with its compiled form and files its body
+// occurrences in bodyIdx, returning the rule's index. Construction,
+// runtime installation and snapshot restore all register rules here, so
+// the per-rule structures stay in step.
+func (ps *peerState) addRule(r PRule) int {
+	ri := len(ps.rules)
+	cr := compileRule(r)
+	ps.noteArity(cr.headQ, len(r.Head.Args))
+	for ai, a := range r.Body {
+		q := cr.body[ai].q
+		ps.noteArity(q, len(a.Args))
+		ps.bodyIdx[q] = append(ps.bodyIdx[q], ruleAt{rule: ri, atom: ai})
+	}
+	ps.rules = append(ps.rules, r)
+	ps.crules = append(ps.crules, cr)
+	return ri
 }
 
 func (ps *peerState) noteArity(q rel.Name, n int) {
@@ -394,18 +400,31 @@ func (ps *peerState) deltaJoin(ctx *dist.Context, q rel.Name, tuple []term.ID) {
 	}
 }
 
-// evalRule joins the body of rule ri left to right. If pin >= 0, body atom
-// `pin` is matched only against pinned (the delta tuple); other atoms scan
-// their full local replicas.
+// evalRule joins the body of rule ri. If pin >= 0, body atom `pin` is
+// matched only against pinned (the delta tuple) and joined first, so its
+// bindings restrict every later probe; the other atoms follow in written
+// order and scan their full local replicas. With pin < 0 (an initial full
+// evaluation) the body is joined left to right.
 func (ps *peerState) evalRule(ctx *dist.Context, ri, pin int, pinned []term.ID) {
 	ps.joinFrom(ctx, ri, 0, pin, pinned)
 }
 
-func (ps *peerState) joinFrom(ctx *dist.Context, ri, j, pin int, pinned []term.ID) {
+// joinFrom runs join step `step` of rule ri and recurses into the next.
+// The step-to-atom order is computed, not stored (a table per rule and pin
+// would cost more heap than the joins it saves): step 0 is the pinned atom,
+// steps 1..pin are atoms 0..pin-1, and later steps are the atoms after pin.
+func (ps *peerState) joinFrom(ctx *dist.Context, ri, step, pin int, pinned []term.ID) {
 	r := &ps.rules[ri]
-	if j == len(r.Body) {
+	if step == len(r.Body) {
 		ps.emit(ctx, ri)
 		return
+	}
+	j := step // no pin, or past the pinned atom
+	switch {
+	case step == 0 && pin >= 0:
+		j = pin
+	case step <= pin:
+		j = step - 1
 	}
 	a := &r.Body[j]
 	if j == pin {
@@ -418,7 +437,7 @@ func (ps *peerState) joinFrom(ctx *dist.Context, ri, j, pin int, pinned []term.I
 			}
 		}
 		if ok {
-			ps.joinFrom(ctx, ri, j+1, pin, pinned)
+			ps.joinFrom(ctx, ri, step+1, pin, pinned)
 		}
 		ps.bnd.Undo(mark)
 		return
@@ -432,8 +451,8 @@ func (ps *peerState) joinFrom(ctx *dist.Context, ri, j, pin int, pinned []term.I
 		ca.r = relation
 	}
 	var mask uint64
-	key := scratch(&ps.keybuf, j, len(a.Args))
-	resolved := scratch(&ps.resbuf, j, len(a.Args))
+	key := scratch(&ps.keybuf, step, len(a.Args))
+	resolved := scratch(&ps.resbuf, step, len(a.Args))
 	for i, t := range a.Args {
 		rt := ps.bnd.Resolve(t)
 		resolved[i] = rt
@@ -443,6 +462,7 @@ func (ps *peerState) joinFrom(ctx *dist.Context, ri, j, pin int, pinned []term.I
 		}
 	}
 	relation.Scan(mask, key, 0, relation.Len(), func(_ int, tuple []term.ID) bool {
+		ps.probes++
 		mark := ps.bnd.Mark()
 		ok := true
 		for i, pat := range resolved {
@@ -455,7 +475,7 @@ func (ps *peerState) joinFrom(ctx *dist.Context, ri, j, pin int, pinned []term.I
 			}
 		}
 		if ok {
-			ps.joinFrom(ctx, ri, j+1, pin, pinned)
+			ps.joinFrom(ctx, ri, step+1, pin, pinned)
 		}
 		ps.bnd.Undo(mark)
 		return true
@@ -606,6 +626,18 @@ func (e *Engine) Totals() (derived, replicated int) {
 		replicated += ps.replicated
 	}
 	return derived, replicated
+}
+
+// Probes reports how many stored tuples the hosted peers' joins have
+// examined since the engine was built or restored: every tuple a body-atom
+// scan hands to the join, matched or not. With derived facts it measures
+// how much join work each fact costs. Must not be called during a run.
+func (e *Engine) Probes() int {
+	n := 0
+	for _, id := range e.order {
+		n += e.peers[id].probes
+	}
+	return n
 }
 
 // finishRun emits the run's engine counters (as per-run deltas, so a

@@ -114,17 +114,8 @@ func (ps *peerState) installRule(ctx *dist.Context, r PRule) {
 	if ps.eng.traceOn {
 		ps.eng.tracer.Instant(string(ps.id), "install "+string(r.Head.Qualified()))
 	}
-	ri := len(ps.rules)
-	ps.rules = append(ps.rules, r)
-	cr := compileRule(r)
-	ps.noteArity(cr.headQ, len(r.Head.Args))
-	for ai, a := range r.Body {
-		q := cr.body[ai].q
-		ps.noteArity(q, len(a.Args))
-		ps.bodyIdx[q] = append(ps.bodyIdx[q], ruleAt{rule: ri, atom: ai})
-	}
-	ps.crules = append(ps.crules, cr)
-	if ps.active[cr.headQ] {
+	ri := ps.addRule(r)
+	if ps.active[ps.crules[ri].headQ] {
 		for _, a := range r.Body {
 			ps.activateBody(ctx, a)
 		}

@@ -16,11 +16,12 @@ import (
 // (internal/snapshot). The encoding preserves everything the evaluation's
 // determinism depends on: per-peer term stores are replayed cell-by-cell
 // so interned IDs survive verbatim, relations keep their insertion order,
-// rules keep their installation order (bodyIdx is rebuilt by replaying
-// them, exactly as construction and installRule built it), and the
-// subscriber lists keep their registration order so fact fan-out after a
-// restore sends the same messages in the same order as an uninterrupted
-// run. Transient state (variable bindings, the per-run trace mirrors) is
+// rules keep their installation order (the per-rule structures are rebuilt
+// by replaying them through addRule, exactly as construction and
+// installRule built them), and the subscriber lists keep their
+// registration order so fact fan-out after a restore sends the same
+// messages in the same order as an uninterrupted run. Transient state
+// (variable bindings, the per-run trace mirrors, the probe counter) is
 // deliberately dropped and rebuilt fresh.
 
 // ErrNotQuiescent is returned when a snapshot is requested from an engine
@@ -300,8 +301,9 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 		}
 		ps.bnd = term.NewBindings(ps.store)
 		nRules := r.Count(3)
+		rules := make([]PRule, 0, nRules)
 		for j := 0; j < nRules && r.Err() == nil; j++ {
-			ps.rules = append(ps.rules, DecodePRuleSnapshot(r, ps.store.Len()))
+			rules = append(rules, DecodePRuleSnapshot(r, ps.store.Len()))
 		}
 		for _, set := range []map[rel.Name]bool{ps.active, ps.requested, ps.hooked} {
 			m := r.Count(1)
@@ -348,23 +350,19 @@ func DecodeEngineSnapshot(r *snapshot.Reader, store *term.Store) (*Engine, error
 			break
 		}
 
-		// Rebuild the derived indices by replaying the rules in order —
-		// the same appends construction and installRule performed — and
-		// cross-check arities without going through noteArity (which
-		// panics on inconsistency; corrupt input must error instead).
-		for ri, ru := range ps.rules {
-			cr := compileRule(ru)
-			if bad := ps.checkArity(r, cr.headQ, len(ru.Head.Args)); bad {
+		// Rebuild the per-rule structures by replaying the rules in order
+		// through addRule, as construction and installRule did. Arities
+		// are cross-checked first: addRule's noteArity panics on an
+		// inconsistency, and corrupt input must error instead.
+		for _, ru := range rules {
+			bad := ps.checkArity(r, ru.Head.Qualified(), len(ru.Head.Args))
+			for _, a := range ru.Body {
+				bad = bad || ps.checkArity(r, a.Qualified(), len(a.Args))
+			}
+			if bad {
 				break
 			}
-			for ai, a := range ru.Body {
-				q := cr.body[ai].q
-				if bad := ps.checkArity(r, q, len(a.Args)); bad {
-					break
-				}
-				ps.bodyIdx[q] = append(ps.bodyIdx[q], ruleAt{rule: ri, atom: ai})
-			}
-			ps.crules = append(ps.crules, cr)
+			ps.addRule(ru)
 		}
 		for _, name := range ps.db.Names() {
 			if want, ok := ps.arity[name]; ok && ps.db.Lookup(name).Arity() != want {

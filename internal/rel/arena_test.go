@@ -53,9 +53,29 @@ func (m *modelRel) scan(mask uint64, key []term.ID, lo, hi int) []int {
 	return out
 }
 
+// checkScan runs one masked Scan on r and on the model and fails on any
+// difference in the positions visited, their order, or their tuples.
+func checkScan(t *testing.T, step int, r *Relation, m *modelRel, mask uint64, key []term.ID, lo, hi int) {
+	t.Helper()
+	var got []int
+	r.Scan(mask, key, lo, hi, func(pos int, tuple []term.ID) bool {
+		if modelKey(tuple) != modelKey(m.tups[pos]) {
+			t.Fatalf("step %d: Scan pos %d tuple %v, want %v", step, pos, tuple, m.tups[pos])
+		}
+		got = append(got, pos)
+		return true
+	})
+	if want := m.scan(mask, key, lo, hi); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("step %d: Scan(mask=%b, key=%v, [%d,%d)) over %d tuples = %v, want %v", step, mask, key, lo, hi, r.Len(), got, want)
+	}
+}
+
 // TestArenaMatchesModel drives a long random op sequence — inserts (with
 // deliberate duplicates), Contains probes, masked Scans over random delta
 // windows — through the arena Relation and the map model in lockstep.
+// A second phase grows many fresh relations across the smallScan boundary
+// with a masked scan after every insert, so each mask is served first by
+// the linear filter and then by an index built mid-stream.
 func TestArenaMatchesModel(t *testing.T) {
 	const arity = 3
 	s := term.NewStore()
@@ -97,18 +117,7 @@ func TestArenaMatchesModel(t *testing.T) {
 			key := randTuple()
 			lo := rng.Intn(r.Len() + 1)
 			hi := lo + rng.Intn(r.Len()-lo+1)
-			var got []int
-			r.Scan(mask, key, lo, hi, func(pos int, tuple []term.ID) bool {
-				if modelKey(tuple) != modelKey(m.tups[pos]) {
-					t.Fatalf("step %d: Scan pos %d tuple %v, want %v", step, pos, tuple, m.tups[pos])
-				}
-				got = append(got, pos)
-				return true
-			})
-			want := m.scan(mask, key, lo, hi)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("step %d: Scan(mask=%b, key=%v, [%d,%d)) = %v, want %v", step, mask, key, lo, hi, got, want)
-			}
+			checkScan(t, step, r, m, mask, key, lo, hi)
 		}
 		if r.Len() != len(m.tups) {
 			t.Fatalf("step %d: Len = %d, want %d", step, r.Len(), len(m.tups))
@@ -122,6 +131,25 @@ func TestArenaMatchesModel(t *testing.T) {
 	for i := range all {
 		if modelKey(all[i]) != modelKey(m.tups[i]) {
 			t.Fatalf("All[%d] = %v, want %v", i, all[i], m.tups[i])
+		}
+	}
+
+	for round := 0; round < 300; round++ {
+		r, m := New(arity), &modelRel{pos: make(map[string]int)}
+		for step := 0; r.Len() <= 2*smallScan; step++ {
+			tu := randTuple()
+			gotPos, gotNew := r.InsertPos(tu)
+			if wantPos, wantNew := m.insert(tu); gotPos != wantPos || gotNew != wantNew {
+				t.Fatalf("round %d step %d: InsertPos(%v) = (%d,%v), want (%d,%v)", round, step, tu, gotPos, gotNew, wantPos, wantNew)
+			}
+			mask := 1 + uint64(rng.Intn(1<<arity-1)) // nonzero: the linear path
+			key := randTuple()
+			if rng.Intn(2) == 0 {
+				key = m.tups[rng.Intn(len(m.tups))] // a key that hits
+			}
+			lo := 1 + rng.Intn(r.Len()) // nonzero, up to an empty window at Len
+			hi := lo + rng.Intn(r.Len()-lo+1)
+			checkScan(t, step, r, m, mask, key, lo, hi)
 		}
 	}
 }
@@ -165,5 +193,24 @@ func TestScanZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("warm indexed Scan allocates %.1f per call, want 0", n)
+	}
+
+	// A relation of at most smallScan tuples is filtered linearly: no
+	// index is built, and the scan allocates nothing either.
+	small := New(2)
+	for i := 0; i < smallScan; i++ {
+		small.Insert(tup(s, fmt.Sprintf("a%d", i%4), fmt.Sprintf("b%d", i)))
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		count = 0
+		small.Scan(1, key, 1, small.Len(), visit)
+		if count != 4 {
+			t.Fatalf("small Scan matched %d tuples, want 4", count)
+		}
+	}); n != 0 {
+		t.Fatalf("linear small-relation Scan allocates %.1f per call, want 0", n)
+	}
+	if len(small.idx) != 0 {
+		t.Fatalf("small-relation Scan built %d indexes, want 0", len(small.idx))
 	}
 }

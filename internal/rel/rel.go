@@ -224,15 +224,19 @@ func (r *Relation) Contains(tuple []term.ID) bool {
 // across later Inserts.
 func (r *Relation) At(pos int) []term.ID { return r.row(pos) }
 
-// ensureIndex brings the index for mask up to date with all tuples.
-func (r *Relation) ensureIndex(mask uint64) *index {
-	var ix *index
+// findIndex returns the index for mask, or nil if none was built yet.
+func (r *Relation) findIndex(mask uint64) *index {
 	for i := range r.idx {
 		if r.idx[i].mask == mask {
-			ix = r.idx[i].ix
-			break
+			return r.idx[i].ix
 		}
 	}
+	return nil
+}
+
+// ensureIndex brings the index for mask up to date with all tuples.
+func (r *Relation) ensureIndex(mask uint64) *index {
+	ix := r.findIndex(mask)
 	if ix == nil {
 		ix = &index{slots: make([]int32, 16)}
 		r.idx = append(r.idx, maskIndex{mask: mask, ix: ix})
@@ -314,10 +318,17 @@ func searchPos(posting []int32, lo int32) int {
 	return i
 }
 
+// smallScan is the relation size up to which a masked Scan with no index
+// for its mask filters the window linearly instead of building one. Most
+// relations a delta join probes stay this small, and an index per binding
+// pattern over a handful of tuples costs heap while saving next to no
+// time.
+const smallScan = 16
+
 // Scan calls f for each tuple position in [lo,hi) whose columns selected by
 // mask equal the corresponding entries of key (a full-width tuple; columns
-// outside mask are ignored). Iteration stops early if f returns false.
-// A zero mask scans the whole window.
+// outside mask are ignored), in ascending position order. Iteration stops
+// early if f returns false. A zero mask scans the whole window.
 func (r *Relation) Scan(mask uint64, key []term.ID, lo, hi int, f func(pos int, tuple []term.ID) bool) {
 	if hi > r.n {
 		hi = r.n
@@ -325,9 +336,9 @@ func (r *Relation) Scan(mask uint64, key []term.ID, lo, hi int, f func(pos int, 
 	if lo >= hi {
 		return
 	}
-	if mask == 0 {
+	if mask == 0 || r.n <= smallScan && r.findIndex(mask) == nil {
 		for pos := lo; pos < hi; pos++ {
-			if !f(pos, r.row(pos)) {
+			if row := r.row(pos); eqCols(row, key, mask) && !f(pos, row) {
 				return
 			}
 		}

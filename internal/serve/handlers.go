@@ -349,6 +349,25 @@ type appendResponse struct {
 	Report       *reportJSON `json:"report"`
 }
 
+// newAppendResponse is the append body of both local and pooled serving;
+// empty deltas render as [] rather than null.
+func newAppendResponse(res *AppendResult) appendResponse {
+	added, removed := res.Added, res.Removed
+	if added == nil {
+		added = []string{}
+	}
+	if removed == nil {
+		removed = []string{}
+	}
+	return appendResponse{
+		Alarms:       res.Alarms,
+		Added:        added,
+		Removed:      removed,
+		DerivedDelta: res.DerivedDelta,
+		Report:       toReportJSON(res.Report),
+	}
+}
+
 type sessionResponse struct {
 	ID        string      `json:"id"`
 	Engine    string      `json:"engine"`
@@ -500,20 +519,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Add("diagnosed_facts_materialized_total", int64(res.DerivedDelta))
 	s.metrics.Add("diagnosed_messages_total", int64(res.MessagesDelta))
 
-	added, removed := res.Added, res.Removed
-	if added == nil {
-		added = []string{}
-	}
-	if removed == nil {
-		removed = []string{}
-	}
-	s.writeJSON(w, http.StatusOK, appendResponse{
-		Alarms:       res.Alarms,
-		Added:        added,
-		Removed:      removed,
-		DerivedDelta: res.DerivedDelta,
-		Report:       toReportJSON(res.Report),
-	})
+	s.writeJSON(w, http.StatusOK, newAppendResponse(res))
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {

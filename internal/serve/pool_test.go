@@ -12,10 +12,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/gen"
+	"repro/internal/parser"
 	"repro/internal/pool"
 	"repro/internal/transport"
 )
@@ -182,6 +185,45 @@ func TestPoolEquivalence(t *testing.T) {
 func jsonString(s string) (string, error) {
 	b, err := json.Marshal(s)
 	return string(b), err
+}
+
+// TestAppendRemovedSorted: an append that rules out several diagnoses
+// lists them sorted, like the added ones, on local and pooled serving
+// alike. On telecom(2) the last alarm of the stream below removes two
+// diagnoses; the removals come out of a map, so each server is checked
+// over several sessions to make an unsorted list all but certain to show.
+func TestAppendRemovedSorted(t *testing.T) {
+	_, pooled, local, _ := newPooledPair(t, StoreConfig{}, pool.Config{}, "w1")
+	netJSON, err := jsonString(parser.FormatNet(gen.Telecom(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := []string{"fail@line0", "fail@line1", "overload@switch", "reset@line0"}
+	for _, srv := range []*httptest.Server{local, pooled} {
+		for i := 0; i < 12; i++ {
+			code, body := rawDo(t, "POST", srv.URL+"/v1/sessions", `{"net": `+netJSON+`, "engine": "direct"}`)
+			if code != http.StatusCreated {
+				t.Fatalf("create: status %d: %s", code, body)
+			}
+			id := extractID(t, body)
+			var last appendResponse
+			for _, a := range stream {
+				code, body = rawDo(t, "POST", srv.URL+"/v1/sessions/"+id+"/alarms", `{"alarms": "`+a+`"}`)
+				if code != http.StatusOK {
+					t.Fatalf("append %s: status %d: %s", a, code, body)
+				}
+				if err := json.Unmarshal([]byte(body), &last); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(last.Removed) < 2 {
+				t.Fatalf("last append removed %v, want at least two diagnoses", last.Removed)
+			}
+			if !sort.StringsAreSorted(last.Removed) {
+				t.Fatalf("removed %v is not sorted", last.Removed)
+			}
+		}
+	}
 }
 
 // TestPoolWorkerKillEquivalence kills the worker homing a session

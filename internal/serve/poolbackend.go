@@ -121,20 +121,7 @@ func (b *PoolBackend) Append(id, alarms string, timeout time.Duration) ([]byte, 
 		b.metrics.Add("diagnosed_facts_materialized_total", int64(res.DerivedDelta))
 		b.metrics.Add("diagnosed_messages_total", int64(res.MessagesDelta))
 	}
-	added, removed := res.Added, res.Removed
-	if added == nil {
-		added = []string{}
-	}
-	if removed == nil {
-		removed = []string{}
-	}
-	return encodeBody(appendResponse{
-		Alarms:       res.Alarms,
-		Added:        added,
-		Removed:      removed,
-		DerivedDelta: res.DerivedDelta,
-		Report:       toReportJSON(res.Report),
-	}), nil
+	return encodeBody(newAppendResponse(res)), nil
 }
 
 // Get implements pool.Backend: the session-state body of handleGet.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,8 +164,8 @@ func (s *Session) Close() { s.closed.Store(true) }
 // sequence so far, plus the delta against the previous report.
 type AppendResult struct {
 	Report  *core.Report
-	Added   []string // diagnosis keys new in this report
-	Removed []string // diagnosis keys the new alarms ruled out
+	Added   []string // diagnosis keys new in this report, sorted
+	Removed []string // diagnosis keys the new alarms ruled out, sorted
 	Alarms  int      // total alarms appended over the session's lifetime
 	// DerivedDelta counts the facts this append materialized: the growth
 	// of the cumulative count for the warm DQSQ session, the whole run
@@ -256,6 +257,7 @@ func (s *Session) append(obs []alarm.Obs, timeout time.Duration, replaySeq uint6
 			res.Removed = append(res.Removed, k)
 		}
 	}
+	sort.Strings(res.Removed) // map order varies run to run
 	s.prevKeys = keys
 
 	switch {

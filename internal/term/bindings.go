@@ -90,10 +90,16 @@ func (b *Bindings) Resolve(t ID) ID {
 	case Const:
 		return t
 	case Var:
-		if u := b.lookup(t); u != None {
+		u := b.lookup(t)
+		switch {
+		case u == None:
+			return t
+		case s.cells[u].ground:
 			return u
 		}
-		return t
+		// Unify may bind a variable to a term whose own variables are bound
+		// later; the occurs check keeps such chains acyclic.
+		return b.Resolve(u)
 	default:
 		if c.ground {
 			return t

@@ -210,6 +210,21 @@ func TestUnifyVarVar(t *testing.T) {
 	}
 }
 
+// TestUnifyResolvesLaterBindings: unifying f(Z,X) with f(g(X),a) binds
+// Z to g(X) before X is bound to a, so resolving Z must follow X too.
+func TestUnifyResolvesLaterBindings(t *testing.T) {
+	s := NewStore()
+	x, z := s.Variable("X"), s.Variable("Z")
+	a := s.Constant("a")
+	b := NewBindings(s)
+	if !b.Unify(s.Compound("f", z, x), s.Compound("f", s.Compound("g", x), a)) {
+		t.Fatal("f(Z,X) should unify with f(g(X),a)")
+	}
+	if got, want := b.Resolve(z), s.Compound("g", a); got != want {
+		t.Fatalf("Z resolved to %s, want g(a)", s.String(got))
+	}
+}
+
 func TestResolveRebuildsCompounds(t *testing.T) {
 	s := NewStore()
 	x := s.Variable("X")

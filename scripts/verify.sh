@@ -264,4 +264,12 @@ echo "$hot_out" | awk -F'|' '
         if (guarded < 1) { print "guard: no baselined engine_hotpath row" > "/dev/stderr"; exit 1 }
     }'
 
+echo "== engine-probe guard (deterministic)"
+# The same engine's join work, pinned by a count instead of a clock:
+# one-shot dQSQ on pipeline(6,2) with 10 alarms (gen.PipelineSeq seed 7)
+# must examine at most 100k stored tuples in its joins (delta-first
+# order; left-to-right joins examined ~982k) and derive exactly the facts
+# and replicas it always did, with diagnoses equal to product[8].
+go test -run '^TestOneShotProbeBudget$' -count 1 -v ./internal/diagnosis
+
 echo "verify: OK"
