@@ -113,7 +113,7 @@ func reportPoolOverhead(max int) error {
 	if err != nil {
 		return err
 	}
-	header("Session-pool overhead — pipeline net appends, direct backend vs pooled over a mesh; 8-session batch by fleet width (hedging off)",
+	header("Session-pool overhead — pipeline net appends, direct backend vs pooled over a mesh; 8-session batch by fleet width",
 		"appends", "local ns/append", "pooled ns/append", "ratio", "bodies equal?",
 		"sessions", "1-worker ms", "3-worker ms", "1-worker cpu ms", "3-worker cpu ms", "gain")
 	row(rows.Appends, rows.LocalNsPerAppend, rows.PooledNsPerAppend,

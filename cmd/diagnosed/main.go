@@ -81,7 +81,6 @@ func main() {
 		replLagBound = flag.Duration("repl-lag-bound", 15*time.Second, "how stale the replication stream may go before the follower reports unhealthy")
 		poolAddrs    = flag.String("pool", "", "comma-separated peerd pool worker addresses; enables frontend mode (sessions run on workers, not in-process)")
 		poolListen   = flag.String("pool-listen", "127.0.0.1:0", "transport listen address for pool replies (frontend mode)")
-		poolPolicy   = flag.String("pool-policy", "least", "pool placement policy: least (least-loaded) | hash (consistent-hash session affinity)")
 		withPprof    = flag.Bool("pprof", false, "serve runtime profiles at /debug/pprof/")
 		verbose      = flag.Bool("v", false, "log /healthz and /metrics polls too")
 	)
@@ -128,16 +127,6 @@ func main() {
 	// instead of evaluating them in-process.
 	var sessPool *pool.Pool
 	if *poolAddrs != "" {
-		var policy pool.Policy
-		switch *poolPolicy {
-		case "least":
-			policy = pool.LeastLoaded{}
-		case "hash":
-			policy = pool.ConsistentHash{}
-		default:
-			logger.Error("bad -pool-policy (want least | hash)", "got", *poolPolicy)
-			os.Exit(2)
-		}
 		var suffix [4]byte
 		rand.Read(suffix[:]) //nolint:errcheck // crypto/rand never fails here
 		tr, err := transport.ListenTCP("fe-"+hex.EncodeToString(suffix[:]), *poolListen)
@@ -148,7 +137,6 @@ func main() {
 		sessPool, err = pool.New(pool.Config{
 			Transport: tr,
 			Workers:   strings.Split(*poolAddrs, ","),
-			Policy:    policy,
 			Metrics:   srv.Metrics(),
 			Logger:    logger,
 		})
@@ -157,7 +145,7 @@ func main() {
 			os.Exit(1)
 		}
 		srv.SetPool(sessPool)
-		logger.Info("frontend mode: pooling sessions", "workers", *poolAddrs, "policy", *poolPolicy)
+		logger.Info("frontend mode: pooling sessions", "workers", *poolAddrs)
 	}
 
 	// Replication: ship the WAL to followers and/or follow a primary.

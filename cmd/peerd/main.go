@@ -88,9 +88,10 @@ func (a *adminEndpoint) serveHTTP(addr string) (string, error) {
 		a.metrics.WriteText(w)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		// Draining is 503 like dead-adjacent states, but the body tells a
-		// pool frontend (and ops scripts) "stop placing, migrate" apart
-		// from "evict": a drained worker is cooperating, not failing.
+		// Draining is 503 like dead-adjacent states, but the body tells
+		// operators "stop placing, migrate" apart from "evict": a drained
+		// worker is cooperating, not failing. (Pool frontends learn the
+		// same from the worker's ping replies.)
 		if a.draining.Load() {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -192,7 +193,6 @@ func main() {
 		worker = pool.NewWorker(pool.WorkerConfig{
 			Transport: ptr,
 			Backend:   serve.NewPoolBackend(store, metrics),
-			AdminAddr: adminAddr,
 			Metrics:   metrics,
 		})
 		if err := worker.Start(); err != nil {

@@ -32,9 +32,7 @@ import (
 // worse scheduling", each batch phase also records the process CPU time
 // it burned (workers are in-process, so RUSAGE_SELF covers them): equal
 // CPU with unequal wall is a scheduling artifact; inflated CPU on the
-// wider fleet is genuine extra work. Hedged re-dispatch — which used to
-// duplicate straggling appends on the wider fleet and was the main such
-// inflator — is disabled for the batch phases.
+// wider fleet is genuine extra work.
 type PoolOverheadRow struct {
 	Appends           int
 	LocalNsPerAppend  int64   // median direct-backend append
@@ -167,10 +165,6 @@ func PoolOverhead(n int) (*PoolOverheadRow, error) {
 			Transport:  mesh.Node("fe"),
 			Workers:    workers,
 			ProbeEvery: 250 * time.Millisecond,
-			// No hedging: in-process transport never drops frames, and a
-			// duplicated straggler append is pure extra work that would
-			// skew the fleet-width CPU comparison.
-			HedgeAfter: -1,
 		})
 		if err != nil {
 			return 0, err

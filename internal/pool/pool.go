@@ -6,18 +6,17 @@
 // warm incremental state of the sessions placed on it.
 //
 // The frontend keeps a registry of workers (health-probed via SessPing
-// frames and the peerd /healthz admin endpoint, load-sampled from every
-// reply), a pluggable placement policy (least-loaded by default,
-// consistent-hash affinity optionally), and a per-session journal: the
+// frames, load-sampled from every reply), places each new session on
+// the least-loaded ready worker, and keeps a per-session journal: the
 // create parameters, the last shipped checkpoint, and the acknowledged
 // appends past it. The journal is what makes worker failure survivable
 // — a session is re-materialized on a healthy worker from checkpoint
 // plus tail replay, losing nothing that was acknowledged — and what
-// makes drain cheap: ship the checkpoint, load it elsewhere, truncate
-// the tail.
+// makes drain cheap: ship the checkpoint into the journal, then
+// re-materialize from it elsewhere with an empty tail.
 //
 // Appends are idempotent on the wire (1-based indexes, worker-side
-// dedup), so dispatch can retry with backoff and hedge stragglers
+// dedup), so dispatch can re-send an unanswered request with backoff
 // without double-evaluating.
 package pool
 
@@ -27,9 +26,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -45,6 +41,19 @@ const (
 	StateDead     = "dead"
 )
 
+const (
+	// rpcMargin pads each request deadline past the evaluation timeout it
+	// carries (network and queueing headroom).
+	rpcMargin = 2 * time.Second
+	// retries bounds re-sends of one request after its first attempt;
+	// the first waits retryBackoff, each later one twice as long.
+	retries      = 2
+	retryBackoff = 50 * time.Millisecond
+	// failAfter consecutive probe failures declare a worker dead, which
+	// re-materializes its sessions on the others.
+	failAfter = 3
+)
+
 // Config tunes a frontend pool.
 type Config struct {
 	// Transport carries SessionJob/SessionReply frames. The pool owns
@@ -57,28 +66,10 @@ type Config struct {
 	// Workers are the worker transport addresses; each doubles as the
 	// worker's node name.
 	Workers []string
-	// Policy places sessions; nil means LeastLoaded.
-	Policy Policy
 	// Metrics receives the pool_* series; nil discards.
 	Metrics obs.Registry
-	// RPCMargin pads each request deadline past the evaluation timeout it
-	// carries (network + queueing headroom). 0 means 2s.
-	RPCMargin time.Duration
-	// Retries bounds re-sends of one request after its first attempt.
-	// 0 means 2; negative disables.
-	Retries int
-	// RetryBackoff is the first retry's delay, doubled per retry.
-	// 0 means 50ms.
-	RetryBackoff time.Duration
-	// HedgeAfter re-sends a still-unanswered append after this delay
-	// (same index — the worker dedups). 0 derives it from the worker's
-	// EWMA append latency; negative disables hedging.
-	HedgeAfter time.Duration
 	// ProbeEvery is the health-probe period. 0 means 1s.
 	ProbeEvery time.Duration
-	// FailAfter is the consecutive probe failures that declare a worker
-	// dead (triggering re-materialization of its sessions). 0 means 3.
-	FailAfter int
 	// ShipEvery refreshes a session's journal checkpoint after this many
 	// appends since the last one, bounding tail-replay cost. 0 means 16;
 	// negative disables (the tail carries everything).
@@ -88,29 +79,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Policy == nil {
-		c.Policy = LeastLoaded{}
-	}
 	if c.Metrics == nil {
 		c.Metrics = nopRegistry{}
 	}
-	if c.RPCMargin == 0 {
-		c.RPCMargin = 2 * time.Second
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
 	if c.ProbeEvery == 0 {
 		c.ProbeEvery = time.Second
-	}
-	if c.FailAfter == 0 {
-		c.FailAfter = 3
 	}
 	if c.ShipEvery == 0 {
 		c.ShipEvery = 16
@@ -138,11 +111,10 @@ type Result struct {
 
 // workerState is the registry entry for one worker.
 type workerState struct {
-	name      string
 	state     string
-	fails     int // consecutive probe failures
-	load      WorkerLoad
-	adminAddr string
+	fails     int  // consecutive probe failures
+	active    int  // live sessions, from the worker's last reply
+	queued    int  // jobs waiting in its queues, from the same reply
 	migrating bool // a drain/recovery pass is already running
 }
 
@@ -153,7 +125,9 @@ type workerState struct {
 type session struct {
 	id string
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// worker homes the session. It is written under both s.mu and p.mu
+	// (setWorker), so holding either one is enough to read it.
 	worker    string
 	netText   string
 	engine    string
@@ -167,13 +141,12 @@ type session struct {
 // Pool is the frontend scheduler. All methods are safe for concurrent
 // use; operations on one session serialize on its journal.
 type Pool struct {
-	cfg    Config
-	tr     transport.Transport
-	self   string
-	addr   string
-	policy Policy
-	m      obs.Registry
-	log    *slog.Logger
+	cfg  Config
+	tr   transport.Transport
+	self string
+	addr string
+	m    obs.Registry
+	log  *slog.Logger
 
 	mu       sync.Mutex
 	workers  map[string]*workerState
@@ -182,9 +155,8 @@ type Pool struct {
 	nextReq  uint64
 	nextID   uint64
 
-	probeClient *http.Client
-	stop        chan struct{}
-	done        chan struct{}
+	stop chan struct{}
+	done chan struct{}
 }
 
 // New builds the pool, starts its transport handler and health-probe
@@ -199,22 +171,18 @@ func New(cfg Config) (*Pool, error) {
 		tr:       cfg.Transport,
 		self:     cfg.Transport.Self(),
 		addr:     cfg.Addr,
-		policy:   cfg.Policy,
 		m:        cfg.Metrics,
 		log:      cfg.Logger,
 		workers:  make(map[string]*workerState),
 		sessions: make(map[string]*session),
 		reqs:     make(map[uint64]chan wire.SessionReply),
-		probeClient: &http.Client{
-			Timeout: 500 * time.Millisecond,
-		},
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	for _, addr := range cfg.Workers {
 		// The address IS the worker's node name: peerd binds its pool
 		// transport under the advertised address, so handshakes line up.
-		p.workers[addr] = &workerState{name: addr, state: StateReady}
+		p.workers[addr] = &workerState{state: StateReady}
 		p.tr.AddRoute(addr, addr)
 	}
 	if err := p.tr.Start(p.handle); err != nil {
@@ -242,35 +210,31 @@ func (p *Pool) handle(from string, f wire.Frame) {
 	}
 	p.mu.Lock()
 	if w := p.workers[from]; w != nil {
-		w.load = WorkerLoad{Name: from, Active: int(rep.Active), Queued: int(rep.Queued), EWMAMicros: rep.EWMAMicros}
-		if rep.AdminAddr != "" {
-			w.adminAddr = rep.AdminAddr
-		}
+		w.active, w.queued = int(rep.Active), int(rep.Queued)
 	}
 	ch := p.reqs[rep.Req]
 	p.mu.Unlock()
 	if ch != nil {
 		select {
 		case ch <- rep:
-		default: // a hedged duplicate already answered
+		default: // a second reply (a job replayed to a restarted worker) has no reader
 		}
 	}
 }
 
-// call dispatches one job with per-request deadline, bounded retry with
-// backoff, and (for appends) hedged re-dispatch of stragglers. The
-// error return means the worker never answered; a reply with an error
-// Code is returned as-is.
+// call dispatches one job with a per-request deadline and bounded
+// re-sends with backoff. The error return means the worker never
+// answered; a reply with an error Code is returned as-is.
 func (p *Pool) call(worker string, job wire.SessionJob, evalTimeout time.Duration) (wire.SessionReply, error) {
-	deadline := evalTimeout + p.cfg.RPCMargin
+	deadline := evalTimeout + rpcMargin
 	job.TimeoutMS = uint32(evalTimeout / time.Millisecond)
 	job.Frontend, job.FrontendAddr = p.self, p.addr
 
 	var lastErr error
-	for attempt := 0; attempt <= p.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			p.m.Add("pool_retries_total", 1)
-			time.Sleep(p.cfg.RetryBackoff << (attempt - 1))
+			time.Sleep(retryBackoff << (attempt - 1))
 		}
 		if p.workerDead(worker) {
 			// The probe loop already declared it: fail fast so the caller
@@ -278,25 +242,19 @@ func (p *Pool) call(worker string, job wire.SessionJob, evalTimeout time.Duratio
 			return wire.SessionReply{}, fmt.Errorf("pool: worker %s is dead", worker)
 		}
 		rep, err := p.dispatch(worker, job, deadline)
-		if err != nil {
-			lastErr = err
-			continue
+		if err == nil {
+			p.noteAlive(worker)
+			return rep, nil
 		}
-		if rep.Code == wire.SessRetry {
-			lastErr = fmt.Errorf("pool: worker %s: %s", worker, rep.Err)
-			continue
-		}
-		p.noteAlive(worker)
-		return rep, nil
+		lastErr = err
 	}
 	p.noteFailure(worker)
 	return wire.SessionReply{}, lastErr
 }
 
-// dispatch sends the job once (plus at most one hedge) and waits for
-// the first reply or the deadline.
+// dispatch sends the job once and waits for its reply or the deadline.
 func (p *Pool) dispatch(worker string, job wire.SessionJob, deadline time.Duration) (wire.SessionReply, error) {
-	ch := make(chan wire.SessionReply, 2)
+	ch := make(chan wire.SessionReply, 1)
 	p.mu.Lock()
 	p.nextReq++
 	job.Req = p.nextReq
@@ -320,12 +278,6 @@ func (p *Pool) dispatch(worker string, job wire.SessionJob, deadline time.Durati
 	// verdict cuts the wait short of the full deadline.
 	vitals := time.NewTicker(250 * time.Millisecond)
 	defer vitals.Stop()
-	var hedge <-chan time.Time
-	if job.Op == wire.SessAppend && p.cfg.HedgeAfter >= 0 {
-		ht := time.NewTimer(p.hedgeDelay(worker, deadline))
-		defer ht.Stop()
-		hedge = ht.C
-	}
 	for {
 		select {
 		case rep := <-ch:
@@ -336,13 +288,6 @@ func (p *Pool) dispatch(worker string, job wire.SessionJob, deadline time.Durati
 				p.m.Observe("pool_dispatch_seconds", time.Since(start))
 				return wire.SessionReply{}, fmt.Errorf("pool: worker %s declared dead mid-request", worker)
 			}
-		case <-hedge:
-			// Straggler: re-send the same job (same Req, same Index — the
-			// worker dedups), so a lost frame or a stalled queue slot does
-			// not cost the whole deadline.
-			hedge = nil
-			p.m.Add("pool_hedged_total", 1)
-			p.tr.Send(worker, job) //nolint:errcheck // the deadline judges
 		case <-timer.C:
 			p.m.Observe("pool_dispatch_seconds", time.Since(start))
 			return wire.SessionReply{}, fmt.Errorf("pool: worker %s: no reply within %v", worker, deadline)
@@ -350,52 +295,25 @@ func (p *Pool) dispatch(worker string, job wire.SessionJob, deadline time.Durati
 	}
 }
 
-// hedgeDelay is when to re-send an unanswered append: the configured
-// delay, or 4x the worker's EWMA append latency clamped to [25ms,
-// deadline/2] — late enough to stay rare, early enough to matter.
-func (p *Pool) hedgeDelay(worker string, deadline time.Duration) time.Duration {
-	if p.cfg.HedgeAfter > 0 {
-		return p.cfg.HedgeAfter
-	}
-	p.mu.Lock()
-	ewma := time.Duration(0)
-	if w := p.workers[worker]; w != nil {
-		ewma = time.Duration(w.load.EWMAMicros) * time.Microsecond
-	}
-	p.mu.Unlock()
-	d := 4 * ewma
-	if d < 25*time.Millisecond {
-		d = 25 * time.Millisecond
-	}
-	if d > deadline/2 {
-		d = deadline / 2
-	}
-	return d
-}
-
 // ---- placement ----
 
-// place picks a ready worker for the session, excluding tried ones.
-func (p *Pool) place(sessionID string, tried map[string]bool) (string, bool) {
+// place picks the least-loaded ready worker not yet tried: fewest
+// sessions plus queued jobs, ties broken by name so placement is
+// deterministic under equal load. Load reports flow back on every
+// reply, so placement corrects itself as sessions land.
+func (p *Pool) place(tried map[string]bool) (string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	candidates := make([]WorkerLoad, 0, len(p.workers))
+	best, bestLoad := "", 0
 	for name, w := range p.workers {
 		if w.state != StateReady || tried[name] {
 			continue
 		}
-		candidates = append(candidates, w.load.withName(name))
+		if load := w.active + w.queued; best == "" || load < bestLoad || (load == bestLoad && name < best) {
+			best, bestLoad = name, load
+		}
 	}
-	if len(candidates) == 0 {
-		return "", false
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].Name < candidates[j].Name })
-	return p.policy.Pick(sessionID, candidates), true
-}
-
-func (l WorkerLoad) withName(name string) WorkerLoad {
-	l.Name = name
-	return l
+	return best, best != ""
 }
 
 func (p *Pool) newID() string {
@@ -434,7 +352,7 @@ func (p *Pool) Create(netText, engine string, maxFacts int, evalTimeout time.Dur
 		Engine: engineOrdinal(engine), MaxFacts: uint32(maxFacts)}
 	tried := make(map[string]bool)
 	for {
-		worker, ok := p.place(id, tried)
+		worker, ok := p.place(tried)
 		if !ok {
 			return saturatedResult("")
 		}
@@ -551,7 +469,7 @@ func (p *Pool) Delete(id string, evalTimeout time.Duration) Result {
 }
 
 // refreshCheckpoint ships the session's current checkpoint into the
-// journal and truncates the tail it covers.
+// journal (refreshCheckpointLocked).
 func (p *Pool) refreshCheckpoint(id string) {
 	s := p.session(id)
 	if s == nil {
@@ -559,7 +477,13 @@ func (p *Pool) refreshCheckpoint(id string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, err := p.call(s.worker, wire.SessionJob{Op: wire.SessShip, Session: id}, 10*time.Second)
+	p.refreshCheckpointLocked(s)
+}
+
+// refreshCheckpointLocked ships s's checkpoint from its worker into the
+// journal and truncates the tail it covers. s.mu is held by the caller.
+func (p *Pool) refreshCheckpointLocked(s *session) {
+	rep, err := p.call(s.worker, wire.SessionJob{Op: wire.SessShip, Session: s.id}, 10*time.Second)
 	if err != nil || rep.Code != wire.SessOK {
 		return // the tail keeps covering; the next append tries again
 	}
@@ -581,18 +505,25 @@ func (p *Pool) refreshCheckpoint(id string) {
 func (p *Pool) rematerializeLocked(s *session, exclude string) error {
 	tried := map[string]bool{exclude: true, s.worker: true}
 	for {
-		worker, ok := p.place(s.id, tried)
+		worker, ok := p.place(tried)
 		if !ok {
 			return fmt.Errorf("pool: no healthy worker to re-materialize session %s", s.id)
 		}
 		if p.installLocked(s, worker) {
 			p.log.Info("pool: session re-materialized", "session", s.id, "from", s.worker, "to", worker, "replayed", len(s.tail))
-			s.worker = worker
+			p.setWorker(s, worker)
 			p.m.Add("pool_migrations_total", 1)
 			return nil
 		}
 		tried[worker] = true
 	}
+}
+
+// setWorker re-homes s; the caller holds s.mu.
+func (p *Pool) setWorker(s *session, worker string) {
+	p.mu.Lock()
+	s.worker = worker
+	p.mu.Unlock()
 }
 
 // installLocked installs s on the worker: checkpoint load or re-create,
@@ -652,7 +583,7 @@ func (p *Pool) noteFailure(worker string) {
 	var evict bool
 	if w != nil && w.state != StateDead {
 		w.fails++
-		if w.fails >= p.cfg.FailAfter && !w.migrating {
+		if w.fails >= failAfter && !w.migrating {
 			w.state = StateDead
 			w.migrating = true
 			evict = true
@@ -665,8 +596,8 @@ func (p *Pool) noteFailure(worker string) {
 	}
 }
 
-// probeLoop drives periodic SessPing probes and /healthz checks, and
-// refreshes the pool gauges.
+// probeLoop drives periodic SessPing probes and refreshes the pool
+// gauges.
 func (p *Pool) probeLoop() {
 	defer close(p.done)
 	t := time.NewTicker(p.cfg.ProbeEvery)
@@ -684,20 +615,16 @@ func (p *Pool) probeLoop() {
 func (p *Pool) probeOnce() {
 	p.mu.Lock()
 	names := make([]string, 0, len(p.workers))
-	admins := make(map[string]string, len(p.workers))
-	for name, w := range p.workers {
+	for name := range p.workers {
 		names = append(names, name)
-		admins[name] = w.adminAddr
 	}
 	p.mu.Unlock()
 
+	probeTimeout := min(p.cfg.ProbeEvery, time.Second)
 	for _, name := range names {
-		// The ping doubles as liveness check and load sample; call's
-		// retry/failure accounting does the state bookkeeping.
-		probeTimeout := p.cfg.ProbeEvery
-		if probeTimeout > time.Second {
-			probeTimeout = time.Second
-		}
+		// The ping doubles as liveness check and load sample. A draining
+		// worker answers it with SessDraining: stop placing, migrate —
+		// emphatically not a failure.
 		rep, err := p.dispatch(name, wire.SessionJob{Op: wire.SessPing, Frontend: p.self, FrontendAddr: p.addr}, probeTimeout)
 		switch {
 		case err != nil:
@@ -707,26 +634,8 @@ func (p *Pool) probeOnce() {
 		default:
 			p.noteAlive(name)
 		}
-		if admin := admins[name]; admin != "" {
-			p.probeAdmin(name, admin)
-		}
 	}
 	p.updateGauges()
-}
-
-// probeAdmin checks the worker's /healthz: a 503 whose body says
-// "draining" means "stop placing, migrate" — emphatically NOT a
-// failure, so it never feeds the eviction counter.
-func (p *Pool) probeAdmin(name, admin string) {
-	resp, err := p.probeClient.Get("http://" + admin + "/healthz")
-	if err != nil {
-		return // transport pings own liveness; the admin side is advisory
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-	resp.Body.Close() //nolint:errcheck // read fully above
-	if resp.StatusCode == http.StatusServiceUnavailable && strings.Contains(string(body), "draining") {
-		p.markDraining(name)
-	}
 }
 
 func (p *Pool) markDraining(name string) {
@@ -748,66 +657,41 @@ func (p *Pool) markDraining(name string) {
 	}
 }
 
-// sessionsOn lists the sessions whose journal names the worker.
+// sessionsOn lists the sessions homed on the worker. Placement may move
+// before the caller locks a session, so callers re-check s.worker under
+// s.mu.
 func (p *Pool) sessionsOn(worker string) []*session {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []*session
 	for _, s := range p.sessions {
-		out = append(out, s)
+		if s.worker == worker {
+			out = append(out, s)
+		}
 	}
-	// Filtering happens under each session's own lock: the placement may
-	// move between this snapshot and the migration pass.
-	_ = worker
 	return out
 }
 
 // migrateSessions moves every session off a draining worker by
-// checkpoint: ship from the drainer (it still serves), load on a ready
-// worker, truncate the journal tail the checkpoint covers.
+// checkpoint: ship from the drainer (it still serves) into the journal,
+// re-materialize from the journal elsewhere (the tail past a fresh
+// checkpoint is empty, so nothing replays), then free the drainer's
+// copy. A drainer that died mid-drain ships nothing, and the journal's
+// older checkpoint plus tail still brings the session up.
 func (p *Pool) migrateSessions(worker string) {
 	defer p.clearMigrating(worker)
 	for _, s := range p.sessionsOn(worker) {
 		s.mu.Lock()
-		if s.worker != worker {
-			s.mu.Unlock()
-			continue
-		}
-		p.migrateLocked(s, worker)
-		s.mu.Unlock()
-	}
-}
-
-func (p *Pool) migrateLocked(s *session, from string) {
-	rep, err := p.call(from, wire.SessionJob{Op: wire.SessShip, Session: s.id}, 10*time.Second)
-	if err == nil && rep.Code == wire.SessOK {
-		if idx, _, derr := decodeShip(rep.Blob); derr == nil && idx == s.nextIndex-1 {
-			tried := map[string]bool{from: true}
-			for {
-				to, ok := p.place(s.id, tried)
-				if !ok {
-					break
-				}
-				lrep, lerr := p.call(to, wire.SessionJob{Op: wire.SessLoad, Session: s.id, Blob: rep.Blob}, 10*time.Second)
-				if lerr != nil || lrep.Code != wire.SessOK {
-					tried[to] = true
-					continue
-				}
-				s.snapBlob, s.snapIndex, s.tail = rep.Blob, idx, nil
-				old := s.worker
-				s.worker = to
-				p.m.Add("pool_migrations_total", 1)
-				p.log.Info("pool: session migrated", "session", s.id, "from", old, "to", to)
+		if s.worker == worker {
+			p.refreshCheckpointLocked(s)
+			if err := p.rematerializeLocked(s, worker); err != nil {
+				p.log.Warn("pool: migration failed", "session", s.id, "err", err)
+			} else {
 				// Best effort: free the drainer's copy so its drain finishes.
-				p.call(old, wire.SessionJob{Op: wire.SessDelete, Session: s.id}, 5*time.Second) //nolint:errcheck
-				return
+				p.call(worker, wire.SessionJob{Op: wire.SessDelete, Session: s.id}, 5*time.Second) //nolint:errcheck
 			}
 		}
-	}
-	// The drainer died mid-drain (or shipped garbage): the journal path
-	// still works.
-	if rerr := p.rematerializeLocked(s, from); rerr != nil {
-		p.log.Warn("pool: migration failed", "session", s.id, "err", rerr)
+		s.mu.Unlock()
 	}
 }
 
@@ -845,8 +729,6 @@ func (p *Pool) updateGauges() {
 		perWorker[name] = 0
 	}
 	for _, s := range p.sessions {
-		// s.worker is read without its lock: a stale value skews a gauge
-		// for one probe period, nothing more.
 		perWorker[s.worker]++
 	}
 	p.mu.Unlock()
@@ -872,11 +754,11 @@ func (p *Pool) WorkerStates() map[string]string {
 
 // SessionWorker reports which worker currently homes the session.
 func (p *Pool) SessionWorker(id string) (string, bool) {
-	s := p.session(id)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := p.sessions[id]
 	if s == nil {
 		return "", false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.worker, true
 }

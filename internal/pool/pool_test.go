@@ -10,37 +10,34 @@ import (
 	"repro/internal/wire"
 )
 
-// ---- scheduler properties ----
+// ---- placement properties ----
+
+// placementPool is a pool with only a worker registry: enough for place.
+func placementPool(names ...string) *Pool {
+	p := &Pool{workers: make(map[string]*workerState)}
+	for _, name := range names {
+		p.workers[name] = &workerState{state: StateReady}
+	}
+	return p
+}
 
 // TestLeastLoadedBalanceBound: placing sessions one at a time, feeding
 // each placement back into the load picture, least-loaded keeps the
 // spread between the fullest and emptiest worker at most one.
 func TestLeastLoadedBalanceBound(t *testing.T) {
-	workers := []WorkerLoad{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}}
-	var p LeastLoaded
+	p := placementPool("w1", "w2", "w3")
 	for i := 0; i < 300; i++ {
-		pick := p.Pick(fmt.Sprintf("s%d", i), workers)
-		found := false
-		for j := range workers {
-			if workers[j].Name == pick {
-				workers[j].Active++
-				found = true
-			}
+		pick, ok := p.place(nil)
+		if !ok {
+			t.Fatal("no worker placed")
 		}
-		if !found {
-			t.Fatalf("picked %q, not a candidate", pick)
+		p.workers[pick].active++
+		lo, hi := 1<<30, 0
+		for _, w := range p.workers {
+			lo, hi = min(lo, w.active), max(hi, w.active)
 		}
-		min, max := workers[0].Active, workers[0].Active
-		for _, w := range workers[1:] {
-			if w.Active < min {
-				min = w.Active
-			}
-			if w.Active > max {
-				max = w.Active
-			}
-		}
-		if max-min > 1 {
-			t.Fatalf("after %d placements: spread %d (loads %+v)", i+1, max-min, workers)
+		if hi-lo > 1 {
+			t.Fatalf("after %d placements: spread %d", i+1, hi-lo)
 		}
 	}
 }
@@ -48,73 +45,11 @@ func TestLeastLoadedBalanceBound(t *testing.T) {
 // TestLeastLoadedCountsQueue: a worker with a deep queue loses to an
 // idle one even when it holds fewer sessions.
 func TestLeastLoadedCountsQueue(t *testing.T) {
-	got := LeastLoaded{}.Pick("s", []WorkerLoad{
-		{Name: "a", Active: 1, Queued: 10},
-		{Name: "b", Active: 3, Queued: 0},
-	})
-	if got != "b" {
+	p := placementPool("a", "b")
+	p.workers["a"].active, p.workers["a"].queued = 1, 10
+	p.workers["b"].active = 3
+	if got, _ := p.place(nil); got != "b" {
 		t.Fatalf("picked %q, want the shallow-queue worker", got)
-	}
-}
-
-// TestConsistentHashAffinity: the ring is a pure function of session and
-// candidate set, and removing one worker only moves the sessions that
-// hashed to it — everyone else's placement is stable.
-func TestConsistentHashAffinity(t *testing.T) {
-	full := []WorkerLoad{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}, {Name: "w4"}, {Name: "w5"}}
-	var without []WorkerLoad
-	for _, w := range full {
-		if w.Name != "w3" {
-			without = append(without, w)
-		}
-	}
-	var p ConsistentHash
-	moved, onRemoved := 0, 0
-	for i := 0; i < 500; i++ {
-		id := fmt.Sprintf("session-%d", i)
-		first := p.Pick(id, full)
-		if again := p.Pick(id, full); again != first {
-			t.Fatalf("%s: unstable pick %q then %q on identical candidates", id, first, again)
-		}
-		second := p.Pick(id, without)
-		if first == "w3" {
-			onRemoved++
-			if second == "w3" {
-				t.Fatalf("%s: picked the removed worker", id)
-			}
-			continue
-		}
-		if second != first {
-			moved++
-		}
-	}
-	if onRemoved == 0 {
-		t.Fatal("no session ever hashed to w3; ring is degenerate")
-	}
-	if moved != 0 {
-		t.Fatalf("%d sessions moved that were not on the removed worker", moved)
-	}
-}
-
-// TestConsistentHashSpread: with the default 64 virtual nodes no worker
-// captures a grossly lopsided share. FNV and the vnode keys are fixed,
-// so this is deterministic, not flaky.
-func TestConsistentHashSpread(t *testing.T) {
-	candidates := []WorkerLoad{{Name: "w1"}, {Name: "w2"}, {Name: "w3"}, {Name: "w4"}, {Name: "w5"}}
-	counts := make(map[string]int)
-	var p ConsistentHash
-	const n = 1000
-	for i := 0; i < n; i++ {
-		counts[p.Pick(fmt.Sprintf("session-%d", i), candidates)]++
-	}
-	for _, c := range candidates {
-		got := counts[c.Name]
-		if got == 0 {
-			t.Fatalf("worker %s never picked: %v", c.Name, counts)
-		}
-		if got > n/2 {
-			t.Fatalf("worker %s captured %d of %d sessions: %v", c.Name, got, n, counts)
-		}
 	}
 }
 
@@ -138,8 +73,8 @@ func TestShipCodecRoundTrip(t *testing.T) {
 
 // ---- worker idempotency over a mesh ----
 
-// fakeBackend counts evaluations so the dedup tests can prove a retried
-// or hedged duplicate never re-evaluates.
+// fakeBackend counts evaluations so the dedup tests can prove a re-sent
+// duplicate never re-evaluates.
 type fakeBackend struct {
 	mu      sync.Mutex
 	creates int
@@ -170,7 +105,7 @@ func (b *fakeBackend) Get(id string) ([]byte, error)           { return []byte("
 func (b *fakeBackend) Delete(id string) error                  { return nil }
 func (b *fakeBackend) Ship(id string) ([]byte, error)          { return []byte("cp"), nil }
 func (b *fakeBackend) Load(id string, checkpoint []byte) error { return nil }
-func (b *fakeBackend) Classify(error) (uint32, uint32)         { return wire.SessRetry, 0 }
+func (b *fakeBackend) Classify(error) (uint32, uint32)         { return wire.SessInternal, 0 }
 func (b *fakeBackend) Active() int                             { b.mu.Lock(); defer b.mu.Unlock(); return len(b.live) }
 func (b *fakeBackend) appendEvals(id string) int {
 	b.mu.Lock()
@@ -179,7 +114,7 @@ func (b *fakeBackend) appendEvals(id string) int {
 }
 
 // TestWorkerAppendDedup drives a worker directly with SessionJob frames
-// and checks the idempotency contract retry and hedging depend on:
+// and checks the idempotency contract re-sends depend on:
 // duplicate indexes return the memoized reply without re-evaluating,
 // gaps are refused with SessOutOfSync.
 func TestWorkerAppendDedup(t *testing.T) {
@@ -238,7 +173,7 @@ func TestWorkerAppendDedup(t *testing.T) {
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 1}); string(rep.Blob) != "append:1" {
 		t.Fatalf("append 1: %q", rep.Blob)
 	}
-	// Duplicate of index 1 (a hedge or retry): memoized, not re-evaluated.
+	// Duplicate of index 1 (a re-send): memoized, not re-evaluated.
 	if rep := roundTrip(wire.SessionJob{Op: wire.SessAppend, Session: "s1", Index: 1}); string(rep.Blob) != "append:1" {
 		t.Fatalf("duplicate append: %q", rep.Blob)
 	}

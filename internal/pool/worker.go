@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"hash/fnv"
 	"io"
 	"log/slog"
 	"sync"
@@ -47,26 +48,26 @@ type WorkerConfig struct {
 	Transport transport.Transport
 	// Backend executes the session operations.
 	Backend Backend
-	// AdminAddr is this worker's HTTP admin address, advertised on every
-	// reply so frontends can health-probe /healthz. Empty disables.
-	AdminAddr string
-	// Executors is the number of job-executor goroutines; jobs are sharded
-	// to them by session ID, so per-session operations are serialized (the
-	// idempotent-append dedup depends on that). 0 means 2.
-	Executors int
-	// QueueDepth bounds each executor's queue; a job arriving past it is
-	// refused immediately with SessSaturated. 0 means 64.
-	QueueDepth int
 	// Metrics receives worker-side counters; nil discards.
 	Metrics obs.Registry
 	// Logger receives send-failure logs; nil discards.
 	Logger *slog.Logger
 }
 
+const (
+	// executors is the number of job-executor goroutines. Jobs are sharded
+	// to them by session ID, so one session's operations run in order (the
+	// append dedup depends on that).
+	executors = 2
+	// queueDepth bounds each executor's queue; a job arriving past it is
+	// refused at once with SessSaturated.
+	queueDepth = 64
+)
+
 // appliedState is the idempotency record for one session: how many
-// appends have been applied, and the last reply sent — a retried or
-// hedged duplicate of the latest operation returns the memoized reply
-// instead of re-evaluating.
+// appends have been applied, and the last reply sent — a re-sent
+// duplicate of the latest operation returns the memoized reply instead
+// of re-evaluating.
 type appliedState struct {
 	index     uint64 // appends applied (SessAppend.Index of the last success)
 	lastCode  uint32
@@ -81,16 +82,14 @@ type appliedState struct {
 // refuses new placements (creates and loads) while continuing to serve,
 // ship and delete the sessions it holds.
 type Worker struct {
-	tr        transport.Transport
-	backend   Backend
-	adminAddr string
-	metrics   obs.Registry
-	log       *slog.Logger
+	tr      transport.Transport
+	backend Backend
+	metrics obs.Registry
+	log     *slog.Logger
 
 	queues   []chan wire.SessionJob
 	queued   atomic.Int64
 	draining atomic.Bool
-	ewma     atomic.Uint64 // EWMA append latency, µs
 
 	mu      sync.Mutex
 	applied map[string]*appliedState
@@ -101,12 +100,6 @@ type Worker struct {
 
 // NewWorker builds a worker; Start begins serving.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.Executors <= 0 {
-		cfg.Executors = 2
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = nopRegistry{}
 	}
@@ -114,17 +107,16 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	w := &Worker{
-		tr:        cfg.Transport,
-		backend:   cfg.Backend,
-		adminAddr: cfg.AdminAddr,
-		metrics:   cfg.Metrics,
-		log:       cfg.Logger,
-		queues:    make([]chan wire.SessionJob, cfg.Executors),
-		applied:   make(map[string]*appliedState),
-		stop:      make(chan struct{}),
+		tr:      cfg.Transport,
+		backend: cfg.Backend,
+		metrics: cfg.Metrics,
+		log:     cfg.Logger,
+		queues:  make([]chan wire.SessionJob, executors),
+		applied: make(map[string]*appliedState),
+		stop:    make(chan struct{}),
 	}
 	for i := range w.queues {
-		w.queues[i] = make(chan wire.SessionJob, cfg.QueueDepth)
+		w.queues[i] = make(chan wire.SessionJob, queueDepth)
 	}
 	return w
 }
@@ -172,7 +164,7 @@ func (w *Worker) handle(from string, f wire.Frame) {
 		// worker grinding through a long evaluation is alive. Queuing it
 		// behind session work would read as death to a tight probe deadline.
 		// A draining worker answers SessDraining (it still serves what it
-		// holds) so frontends migrate even when the admin endpoint is off.
+		// holds): that is how frontends learn to migrate its sessions.
 		if w.draining.Load() {
 			w.send(job, wire.SessionReply{Code: wire.SessDraining, Err: "pool: worker draining"})
 		} else {
@@ -262,8 +254,8 @@ func (w *Worker) execAppend(job wire.SessionJob) {
 		w.send(job, wire.SessionReply{Code: wire.SessNotFound, Err: "pool: no such session on worker"})
 		return
 	case job.Index <= st.index:
-		// Duplicate of an already-applied append (retry or hedge): the
-		// memoized reply, never a second evaluation.
+		// Duplicate of an already-applied append (a re-send): the memoized
+		// reply, never a second evaluation.
 		w.metrics.Add("pool_worker_dedup_total", 1)
 		w.send(job, wire.SessionReply{Code: st.lastCode, Err: st.lastErr,
 			RetryAfterMS: st.lastRetry, Blob: st.lastBlob})
@@ -272,11 +264,9 @@ func (w *Worker) execAppend(job wire.SessionJob) {
 		w.send(job, wire.SessionReply{Code: wire.SessOutOfSync, Err: "pool: append index gap"})
 		return
 	}
-	start := time.Now()
 	body, err := w.backend.Append(job.Session, job.Alarms, timeoutOf(job))
 	rep := w.replyFor(body, err)
 	if err == nil {
-		w.noteAppend(time.Since(start))
 		w.mu.Lock()
 		st.index = job.Index
 		st.lastCode, st.lastErr, st.lastRetry, st.lastBlob = rep.Code, rep.Err, rep.RetryAfterMS, rep.Blob
@@ -339,29 +329,11 @@ func (w *Worker) send(job wire.SessionJob, rep wire.SessionReply) {
 	if q := w.queued.Load(); q > 0 {
 		rep.Queued = uint32(q)
 	}
-	rep.EWMAMicros = w.ewma.Load()
-	rep.AdminAddr = w.adminAddr
 	if job.Frontend == "" {
 		return
 	}
 	if err := w.tr.Send(job.Frontend, rep); err != nil {
 		w.log.Warn("pool worker: reply not sent", "frontend", job.Frontend, "err", err)
-	}
-}
-
-// noteAppend folds one append latency into the EWMA load signal
-// (α = 1/4: responsive to shifts, stable under jitter).
-func (w *Worker) noteAppend(d time.Duration) {
-	sample := uint64(d.Microseconds())
-	for {
-		old := w.ewma.Load()
-		next := sample
-		if old != 0 {
-			next = old - old/4 + sample/4
-		}
-		if w.ewma.CompareAndSwap(old, next) {
-			return
-		}
 	}
 }
 
@@ -411,3 +383,17 @@ type nopRegistry struct{}
 func (nopRegistry) Add(string, int64)             {}
 func (nopRegistry) SetGauge(string, int64)        {}
 func (nopRegistry) Observe(string, time.Duration) {}
+
+// hash64 is FNV-1a with a murmur-style finalizer; it shards jobs onto
+// executors by session ID.
+func hash64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s)) //nolint:errcheck // fnv never errors
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}

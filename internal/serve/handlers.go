@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/parser"
 	"repro/internal/pool"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -86,6 +85,7 @@ type Server struct {
 	log     *slog.Logger
 	persist *persister // nil when Config.DataDir is empty
 	wal     *serverWAL // nil when Config.DataDir is empty or the log failed to open
+	local   *PoolBackend
 
 	drainMu  sync.Mutex
 	draining bool
@@ -155,6 +155,9 @@ func NewServer(cfg Config) *Server {
 			}
 		}
 	}
+	// Local appends and reads run the pool workers' session service over
+	// this server's own store.
+	s.local = &PoolBackend{store: s.store, metrics: m, persist: s.persist}
 	s.mux.HandleFunc("POST /v1/sessions", s.handleCreate)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/alarms", s.handleAppend)
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleGet)
@@ -207,9 +210,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.enter() {
-		// The drain is short-lived: the client should retry against the
-		// restarted (or replacement) instance, not give up.
-		w.Header().Set("Retry-After", "1")
+		// The drain is short-lived: the error table's Retry-After hint tells
+		// the client to retry against the restarted (or replacement)
+		// instance, not give up.
 		s.fail(w, ErrDraining)
 		return
 	}
@@ -415,7 +418,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		// the frontend only burns cycles on admission and placement.
 		res := s.pool.Create(req.Net, req.Engine, req.MaxFacts, s.evalTimeout(r))
 		s.metrics.Observe("diagnosed_create_seconds", time.Since(start))
-		s.writePoolResult(w, http.StatusCreated, res)
+		s.writeResult(w, http.StatusCreated, res)
 		return
 	}
 	sys, err := core.LoadNet(req.Net)
@@ -462,99 +465,39 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, ErrReadOnly)
 		return
 	}
-	if s.pool != nil {
-		var req appendRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.badRequest(w, fmt.Errorf("bad request body: %w", err))
+	id := r.PathValue("id")
+	var sess *Session
+	if s.pool == nil {
+		// Local serving answers a missing session before reading the body.
+		var ok bool
+		if sess, ok = s.store.Get(id, time.Now()); !ok {
+			s.fail(w, ErrNotFound)
 			return
 		}
-		start := time.Now()
-		res := s.pool.Append(r.PathValue("id"), req.Alarms, s.evalTimeout(r))
-		s.metrics.Observe("diagnosed_append_seconds", time.Since(start))
-		s.writePoolResult(w, http.StatusOK, res)
-		return
-	}
-	sess, ok := s.store.Get(r.PathValue("id"), time.Now())
-	if !ok {
-		s.notFound(w)
-		return
 	}
 	var req appendRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.badRequest(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	seq, err := core.ParseAlarms(req.Alarms)
-	if err != nil {
-		s.badRequest(w, err)
+	if s.pool == nil {
+		s.writeResult(w, http.StatusOK, result(s.local.appendTo(sess, req.Alarms, s.evalTimeout(r))))
 		return
 	}
-	if len(seq) == 0 {
-		s.badRequest(w, errors.New("no alarms in request"))
-		return
-	}
-	for _, o := range seq {
-		if !sess.HasPeer(string(o.Peer)) {
-			s.badRequest(w, fmt.Errorf("alarm from unknown peer %q", o.Peer))
-			return
-		}
-	}
-
 	start := time.Now()
-	res, err := sess.Append(seq, s.evalTimeout(r))
+	res := s.pool.Append(id, req.Alarms, s.evalTimeout(r))
 	s.metrics.Observe("diagnosed_append_seconds", time.Since(start))
-	if s.persist != nil {
-		// Write-behind on success AND failure: an append that poisoned the
-		// session must persist the poisoning, or a restart would resurrect
-		// a session whose warm state is not trustworthy as healthy.
-		s.persist.markDirty(sess)
-	}
-	if err != nil {
-		s.metrics.Add("diagnosed_append_errors_total", 1)
-		s.fail(w, err)
-		return
-	}
-	s.metrics.Add("diagnosed_alarms_total", int64(len(seq)))
-	s.metrics.Add("diagnosed_appends_total", 1)
-	s.metrics.Add("diagnosed_facts_materialized_total", int64(res.DerivedDelta))
-	s.metrics.Add("diagnosed_messages_total", int64(res.MessagesDelta))
-
-	s.writeJSON(w, http.StatusOK, newAppendResponse(res))
+	s.writeResult(w, http.StatusOK, res)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if s.pool != nil {
 		// The worker is authoritative for session state (seq, report,
 		// exhaustion); the frontend only journals placement.
-		s.writePoolResult(w, http.StatusOK, s.pool.Get(r.PathValue("id"), 10*time.Second))
+		s.writeResult(w, http.StatusOK, s.pool.Get(r.PathValue("id"), 10*time.Second))
 		return
 	}
-	sess, ok := s.store.Get(r.PathValue("id"), time.Now())
-	if !ok {
-		s.notFound(w)
-		return
-	}
-	st, err := sess.Snapshot()
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	resp := sessionResponse{
-		ID:        st.ID,
-		Engine:    EngineName(st.Engine),
-		MaxFacts:  st.Facts,
-		Created:   st.Created,
-		LastUsed:  st.LastUsed,
-		Alarms:    st.Alarms,
-		Exhausted: st.Exhausted,
-		Seq:       parser.FormatAlarms(st.Seq),
-		Report:    toReportJSON(st.Report),
-	}
-	if !st.LastSnap.IsZero() {
-		age := time.Since(st.LastSnap).Seconds()
-		resp.SnapshotAgeSeconds = &age
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeResult(w, http.StatusOK, result(s.local.Get(r.PathValue("id"))))
 }
 
 // handleTrace exports the session's evaluation trace as Chrome
@@ -564,12 +507,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// The trace buffer lives with the warm engine on the worker; the
 		// frontend has nothing to export. Scrape the worker's admin
 		// endpoint instead.
-		s.notFound(w)
+		s.fail(w, ErrNotFound)
 		return
 	}
 	sess, ok := s.store.Get(r.PathValue("id"), time.Now())
 	if !ok {
-		s.notFound(w)
+		s.fail(w, ErrNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -591,7 +534,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		s.writePoolResult(w, http.StatusNoContent, res)
+		s.writeResult(w, http.StatusNoContent, res)
 		return
 	}
 	if s.wal != nil {
@@ -600,7 +543,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		// resurrecting the session on restart. Existence is checked first so
 		// the log never carries deletes of sessions that were never there.
 		if _, ok := s.store.Get(id, time.Now()); !ok {
-			s.notFound(w)
+			s.fail(w, ErrNotFound)
 			return
 		}
 		if _, err := s.wal.logDelete(id); err != nil {
@@ -609,7 +552,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !s.store.Delete(id) {
-		s.notFound(w)
+		s.fail(w, ErrNotFound)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -693,32 +636,29 @@ func (s *Server) badRequest(w http.ResponseWriter, err error) {
 	s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 }
 
-func (s *Server) notFound(w http.ResponseWriter) {
-	s.writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such session"})
-}
-
-// fail maps service errors to statuses: exhausted per-session budget 429,
-// overload or drain 503, evaluation timeout 504, vanished session 404.
+// fail answers a service error through the error table (classify,
+// httpStatus): exhausted per-session budget 429, overload, drain or
+// read-only 503, evaluation timeout 504, missing session 404, anything
+// unclassified 500.
 func (s *Server) fail(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrExhausted):
-		status = http.StatusTooManyRequests
-	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrDraining), errors.Is(err, ErrReadOnly):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, ErrClosed):
-		status = http.StatusNotFound
-	case timeoutErr(err):
-		status = http.StatusGatewayTimeout
-	}
-	s.writeJSON(w, status, errorResponse{Error: err.Error()})
+	s.writeResult(w, 0, result(nil, err))
 }
 
-// writePoolResult renders a pooled operation's outcome: success writes
-// the worker-rendered body verbatim (byte-identical to local serving),
-// errors map wire codes onto the same statuses fail uses, with
-// Retry-After carrying the pool's backpressure hint.
-func (s *Server) writePoolResult(w http.ResponseWriter, okStatus int, res pool.Result) {
+// result wraps a local operation's outcome the way a pool worker wraps
+// it into a reply.
+func result(body []byte, err error) pool.Result {
+	if err != nil {
+		code, retryAfterMS := classify(err)
+		return pool.Result{Code: code, Err: err.Error(), RetryAfterMS: retryAfterMS}
+	}
+	return pool.Result{Body: body}
+}
+
+// writeResult renders an operation's outcome, local or pooled: success
+// writes the rendered body verbatim (byte-identical either way), errors
+// map their wire code through httpStatus, with Retry-After carrying the
+// backpressure hint.
+func (s *Server) writeResult(w http.ResponseWriter, okStatus int, res pool.Result) {
 	if res.Code == wire.SessOK {
 		if len(res.Body) == 0 {
 			w.WriteHeader(okStatus)
@@ -732,18 +672,5 @@ func (s *Server) writePoolResult(w http.ResponseWriter, okStatus int, res pool.R
 	if res.RetryAfterMS > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(int((res.RetryAfterMS+999)/1000)))
 	}
-	status := http.StatusInternalServerError
-	switch res.Code {
-	case wire.SessExhausted:
-		status = http.StatusTooManyRequests
-	case wire.SessSaturated, wire.SessDraining, wire.SessRetry:
-		status = http.StatusServiceUnavailable
-	case wire.SessNotFound:
-		status = http.StatusNotFound
-	case wire.SessTimeout:
-		status = http.StatusGatewayTimeout
-	case wire.SessBad:
-		status = http.StatusBadRequest
-	}
-	s.writeJSON(w, status, errorResponse{Error: res.Err})
+	s.writeJSON(w, httpStatus(res.Code), errorResponse{Error: res.Err})
 }

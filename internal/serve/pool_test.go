@@ -8,6 +8,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/parser"
 	"repro/internal/pool"
@@ -304,8 +307,9 @@ func TestPoolWorkerKillEquivalence(t *testing.T) {
 
 // TestPoolDrainMigration drains the worker homing a session and waits
 // for the pool to migrate it by checkpoint: placement moves off the
-// drainer without any failed request, and the session keeps answering
-// with state identical to a local run.
+// drainer without any failed request, the move ships a checkpoint
+// rather than replaying the journal from the create, and the session
+// keeps answering with state identical to a local run.
 func TestPoolDrainMigration(t *testing.T) {
 	p, pooled, local, workers := newPooledPair(t, StoreConfig{}, pool.Config{}, "w1", "w2")
 
@@ -328,6 +332,8 @@ func TestPoolDrainMigration(t *testing.T) {
 	if !ok {
 		t.Fatalf("session %s unknown to the pool", pID)
 	}
+	// Neither pool_checkpoints_total nor pool_migrations_total has moved
+	// yet: one append is below ShipEvery, and no worker has failed.
 	workers[drainer].SetDraining(true)
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -358,6 +364,12 @@ func TestPoolDrainMigration(t *testing.T) {
 	_, lBody = rawDo(t, "GET", local.URL+"/v1/sessions/"+lID, "")
 	if scrub(pBody) != scrub(lBody) {
 		t.Fatalf("post-drain session state diverges\npooled: %s\nlocal:  %s", scrub(pBody), scrub(lBody))
+	}
+	if n := metricValue(t, pooled, "pool_checkpoints_total"); n < 1 {
+		t.Fatalf("pool_checkpoints_total = %d, want >= 1: the drain did not ship a checkpoint", n)
+	}
+	if n := metricValue(t, pooled, "pool_migrations_total"); n < 1 {
+		t.Fatalf("pool_migrations_total = %d, want >= 1", n)
 	}
 }
 
@@ -393,5 +405,79 @@ func TestPoolBackpressure(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("saturated create: no Retry-After header")
+	}
+}
+
+// TestPoolRehomeRace re-homes the sessions of a dead worker while the
+// probe loop, on a 1ms period, keeps refreshing the per-worker gauges
+// and listing sessions by worker. Both read each session's worker field
+// while re-materialization writes it; under the race detector this
+// fails unless the two sides share a lock. Every append must still
+// answer 200.
+func TestPoolRehomeRace(t *testing.T) {
+	mesh := transport.NewMesh()
+	for _, name := range []string{"w1", "w2"} {
+		startPoolWorker(t, mesh, name, StoreConfig{})
+	}
+	pooledSrv, pooled := newTestServer(t, Config{})
+	p, err := pool.New(pool.Config{
+		Transport:  mesh.Node("fe"),
+		Workers:    []string{"w1", "w2"},
+		Metrics:    pooledSrv.Metrics(),
+		ProbeEvery: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	pooledSrv.SetPool(p)
+
+	netJSON, err := jsonString(exampleNetText(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 8)
+	for i := range ids {
+		code, body := rawDo(t, "POST", pooled.URL+"/v1/sessions", `{"net": `+netJSON+`, "engine": "dqsq"}`)
+		if code != http.StatusCreated {
+			t.Fatalf("create %d: status %d: %s", i, code, body)
+		}
+		ids[i] = extractID(t, body)
+	}
+	mesh.Node("w1").Close() //nolint:errcheck // the kill under test
+	for _, id := range ids {
+		if code, body := rawDo(t, "POST", pooled.URL+"/v1/sessions/"+id+"/alarms", `{"alarms": "`+quickstartAlarms[0]+`"}`); code != http.StatusOK {
+			t.Fatalf("append to %s: status %d: %s", id, code, body)
+		}
+		if now, _ := p.SessionWorker(id); now != "w2" {
+			t.Fatalf("session %s on %q after w1 died, want w2", id, now)
+		}
+	}
+}
+
+// TestErrorStatusLocalEqualsPooled: an error answers the same status and
+// body whether a local handler meets it or a pool worker classifies it
+// and the frontend renders the reply. An error nothing classifies is a
+// plain 500 either way.
+func TestErrorStatusLocalEqualsPooled(t *testing.T) {
+	var s Server
+	for _, err := range []error{
+		ErrBadInput, ErrExhausted, ErrOverloaded, ErrDraining, ErrReadOnly, ErrClosed, ErrNotFound,
+		fmt.Errorf("eval: %w", dist.ErrTimeout),
+		errors.New("x"),
+	} {
+		local := httptest.NewRecorder()
+		s.fail(local, err)
+		code, retryAfterMS := NewPoolBackend(nil, nil).Classify(err)
+		pooled := httptest.NewRecorder()
+		s.writeResult(pooled, http.StatusOK, pool.Result{Code: code, Err: err.Error(), RetryAfterMS: retryAfterMS})
+		if local.Code != pooled.Code || local.Body.String() != pooled.Body.String() {
+			t.Errorf("%v: local %d %q, pooled %d %q", err, local.Code, local.Body, pooled.Code, pooled.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.fail(rec, errors.New("x"))
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("unclassified error: status %d, want 500", rec.Code)
 	}
 }

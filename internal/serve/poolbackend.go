@@ -1,17 +1,20 @@
 package serve
 
-// The worker side of the session pool. PoolBackend adapts a session
-// Store to pool.Backend, so a peerd process can execute the session
-// operations a diagnosed frontend ships to it. Every method returns the
-// exact JSON body the HTTP handler would have written for the same
-// operation — that is what makes a pooled session's responses
-// byte-identical to a local one's, the pool tentpole's correctness bar.
+// The session service behind both local and pooled serving. PoolBackend
+// adapts a session Store to pool.Backend, so a peerd process can execute
+// the session operations a diagnosed frontend ships to it; the local
+// append and get handlers run the same methods over the server's own
+// store. Every method returns the JSON body the HTTP response carries,
+// and every error goes through one table (classify, httpStatus) — that
+// is what makes a pooled session's responses byte-identical to a local
+// one's.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"repro/internal/core"
@@ -20,14 +23,23 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrBadInput marks client-caused failures: the pool maps it to SessBad
-// and the frontend to 400, mirroring the local badRequest path.
+// ErrBadInput marks client-caused failures (SessBad, 400). Errors that
+// wrap it keep their own message, so the body reads as it would have
+// without the mark.
 var ErrBadInput = errors.New("bad request")
 
-// PoolBackend executes pooled session operations against a Store.
+type badInputError struct{ error }
+
+func (badInputError) Is(target error) bool { return target == ErrBadInput }
+
+// badInput marks err as the client's fault.
+func badInput(err error) error { return badInputError{err} }
+
+// PoolBackend executes session operations against a Store.
 type PoolBackend struct {
 	store   *Store
 	metrics *Metrics
+	persist *persister // write-behind snapshots; nil on pool workers
 }
 
 // NewPoolBackend wraps the store. metrics may be nil.
@@ -52,15 +64,15 @@ func encodeBody(v any) []byte {
 // the pool classifies as SessSaturated and places elsewhere.
 func (b *PoolBackend) Create(id, netText, engineName string, maxFacts int) ([]byte, error) {
 	if netText == "" {
-		return nil, fmt.Errorf("%w: missing net", ErrBadInput)
+		return nil, badInput(errors.New("missing net"))
 	}
 	engine, err := ParseEngine(engineName)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		return nil, badInput(err)
 	}
 	sys, err := core.LoadNet(netText)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		return nil, badInput(err)
 	}
 	facts := maxFacts
 	if facts <= 0 {
@@ -68,7 +80,7 @@ func (b *PoolBackend) Create(id, netText, engineName string, maxFacts int) ([]by
 	}
 	sess, err := newSession(id, sys, engine, facts, time.Now(), b.metrics)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		return nil, badInput(err)
 	}
 	if err := b.store.Adopt(sess); err != nil {
 		return nil, err
@@ -85,29 +97,40 @@ func (b *PoolBackend) Create(id, netText, engineName string, maxFacts int) ([]by
 	}), nil
 }
 
-// Append implements pool.Backend: the same parse/validate/evaluate path
-// as handleAppend, returning its response body.
+// Append implements pool.Backend: parse, validate and evaluate the
+// alarms, returning the append-response body.
 func (b *PoolBackend) Append(id, alarms string, timeout time.Duration) ([]byte, error) {
 	sess, ok := b.store.Get(id, time.Now())
 	if !ok {
-		return nil, ErrClosed
+		return nil, ErrNotFound
 	}
+	return b.appendTo(sess, alarms, timeout)
+}
+
+// appendTo is Append on a session already looked up.
+func (b *PoolBackend) appendTo(sess *Session, alarms string, timeout time.Duration) ([]byte, error) {
 	seq, err := core.ParseAlarms(alarms)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		return nil, badInput(err)
 	}
 	if len(seq) == 0 {
-		return nil, fmt.Errorf("%w: no alarms in request", ErrBadInput)
+		return nil, badInput(errors.New("no alarms in request"))
 	}
 	for _, o := range seq {
 		if !sess.HasPeer(string(o.Peer)) {
-			return nil, fmt.Errorf("%w: alarm from unknown peer %q", ErrBadInput, o.Peer)
+			return nil, badInput(fmt.Errorf("alarm from unknown peer %q", o.Peer))
 		}
 	}
 	start := time.Now()
 	res, err := sess.Append(seq, timeout)
 	if b.metrics != nil {
 		b.metrics.Observe("diagnosed_append_seconds", time.Since(start))
+	}
+	if b.persist != nil {
+		// Write-behind on success AND failure: an append that poisoned the
+		// session must persist the poisoning, or a restart would resurrect
+		// a session whose warm state is not trustworthy as healthy.
+		b.persist.markDirty(sess)
 	}
 	if err != nil {
 		if b.metrics != nil {
@@ -124,11 +147,11 @@ func (b *PoolBackend) Append(id, alarms string, timeout time.Duration) ([]byte, 
 	return encodeBody(newAppendResponse(res)), nil
 }
 
-// Get implements pool.Backend: the session-state body of handleGet.
+// Get implements pool.Backend: the session-state body.
 func (b *PoolBackend) Get(id string) ([]byte, error) {
 	sess, ok := b.store.Get(id, time.Now())
 	if !ok {
-		return nil, ErrClosed
+		return nil, ErrNotFound
 	}
 	st, err := sess.Snapshot()
 	if err != nil {
@@ -155,7 +178,7 @@ func (b *PoolBackend) Get(id string) ([]byte, error) {
 // Delete implements pool.Backend.
 func (b *PoolBackend) Delete(id string) error {
 	if !b.store.Delete(id) {
-		return ErrClosed
+		return ErrNotFound
 	}
 	if b.metrics != nil {
 		b.metrics.Add("diagnosed_sessions_deleted_total", 1)
@@ -168,7 +191,7 @@ func (b *PoolBackend) Delete(id string) error {
 func (b *PoolBackend) Ship(id string) ([]byte, error) {
 	sess, ok := b.store.Get(id, time.Now())
 	if !ok {
-		return nil, ErrClosed
+		return nil, ErrNotFound
 	}
 	f := snapshot.New()
 	if _, err := sess.EncodeSnapshot(f); err != nil {
@@ -183,14 +206,14 @@ func (b *PoolBackend) Ship(id string) ([]byte, error) {
 func (b *PoolBackend) Load(id string, checkpoint []byte) error {
 	o, err := snapshot.Open(checkpoint)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadInput, err)
+		return badInput(err)
 	}
 	sess, err := decodeSession(o, b.metrics)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadInput, err)
+		return badInput(err)
 	}
 	if sess.ID != id {
-		return fmt.Errorf("%w: checkpoint is for session %s, not %s", ErrBadInput, sess.ID, id)
+		return badInput(fmt.Errorf("checkpoint is for session %s, not %s", sess.ID, id))
 	}
 	b.store.Delete(id)
 	if err := b.store.Adopt(sess); err != nil {
@@ -202,9 +225,13 @@ func (b *PoolBackend) Load(id string, checkpoint []byte) error {
 	return nil
 }
 
-// Classify implements pool.Backend: the wire-code analogue of
-// Server.fail's error→status mapping.
-func (b *PoolBackend) Classify(err error) (code uint32, retryAfterMS uint32) {
+// Classify implements pool.Backend.
+func (b *PoolBackend) Classify(err error) (code uint32, retryAfterMS uint32) { return classify(err) }
+
+// classify maps a service error onto a wire code and a Retry-After hint
+// in milliseconds. With httpStatus it is the one error table of local
+// and pooled serving: an error answers the same status either way.
+func classify(err error) (code uint32, retryAfterMS uint32) {
 	switch {
 	case errors.Is(err, ErrBadInput):
 		return wire.SessBad, 0
@@ -214,12 +241,32 @@ func (b *PoolBackend) Classify(err error) (code uint32, retryAfterMS uint32) {
 		return wire.SessSaturated, 1000
 	case errors.Is(err, ErrDraining):
 		return wire.SessDraining, 1000
-	case errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrReadOnly):
+		return wire.SessDraining, 0
+	case errors.Is(err, ErrNotFound), errors.Is(err, ErrClosed):
 		return wire.SessNotFound, 0
 	case timeoutErr(err):
 		return wire.SessTimeout, 0
 	default:
-		return wire.SessRetry, 0
+		return wire.SessInternal, 0
+	}
+}
+
+// httpStatus maps a wire code onto the HTTP status it answers with.
+func httpStatus(code uint32) int {
+	switch code {
+	case wire.SessBad:
+		return http.StatusBadRequest
+	case wire.SessExhausted:
+		return http.StatusTooManyRequests
+	case wire.SessSaturated, wire.SessDraining:
+		return http.StatusServiceUnavailable
+	case wire.SessNotFound:
+		return http.StatusNotFound
+	case wire.SessTimeout:
+		return http.StatusGatewayTimeout
+	default:
+		return http.StatusInternalServerError
 	}
 }
 

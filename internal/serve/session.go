@@ -22,6 +22,8 @@ var (
 	// ErrExhausted: the session's fact budget is spent; the warm engine
 	// state is unusable and the session only accepts GET/DELETE (429).
 	ErrExhausted = errors.New("serve: session budget exhausted")
+	// ErrNotFound: no live session under the requested ID (404).
+	ErrNotFound = errors.New("no such session")
 	// ErrClosed: the session was deleted or evicted mid-request (404).
 	ErrClosed = errors.New("serve: session closed")
 	// ErrOverloaded: the global fact budget or session table cannot admit

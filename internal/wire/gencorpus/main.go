@@ -1,6 +1,7 @@
 // Command gencorpus regenerates the checked-in fuzz seed corpus under
-// internal/wire/testdata/fuzz: one file per protocol-v4 frame shape, in
-// the `go test fuzz v1` encoding, shared by both wire fuzz targets.
+// internal/wire/testdata/fuzz: one file per frame shape added since
+// protocol v4, in the `go test fuzz v1` encoding, shared by both wire
+// fuzz targets. Run it from internal/wire: go run ./gencorpus
 package main
 
 import (
@@ -39,6 +40,15 @@ func main() {
 				{Track: "net", Name: "pending", Ph: 'C', Wall: 1_700_000_000_000_002, Value: -4},
 				{Track: "p1", Name: "msg", Ph: 'f', Wall: 1_700_000_000_000_003, ID: 1 << 40},
 			},
+		},
+		"session_job_v6": wire.SessionJob{
+			Req: 12, Op: wire.SessAppend, Session: "s000001-ab", Index: 4,
+			Alarms: "a@p b@p", TimeoutMS: 5000,
+			Frontend: "fe-1", FrontendAddr: "127.0.0.1:7701",
+		},
+		"session_reply_v6": wire.SessionReply{
+			Req: 12, Op: wire.SessAppend, Session: "s000001-ab",
+			Active: 17, Queued: 3, Blob: []byte{1, 0, 2},
 		},
 	}
 	for _, target := range []string{"FuzzDecodeFrame", "FuzzFrameRoundTrip"} {

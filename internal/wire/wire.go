@@ -31,7 +31,8 @@ import (
 // Version 4 added cluster telemetry: wall-clock samples in Hello, trace
 // context on Job, flow IDs on Data, and the Telemetry frame.
 // Version 5 added the session-pool RPC frames (SessionJob, SessionReply).
-const Version = 5
+// Version 6 dropped SessionReply's latency and admin-address fields.
+const Version = 6
 
 // MaxFrame bounds the encoded size of a single frame (64 MiB). The
 // transport rejects longer length prefixes before reading the body, so a
@@ -241,8 +242,8 @@ const (
 	SessCreate uint32 = iota + 1
 	// SessAppend feeds alarms to a live session. Index is the 1-based
 	// position of this append in the session's history; the worker applies
-	// it exactly once, so a retried or hedged duplicate returns the
-	// memoized result instead of re-evaluating.
+	// it exactly once, so a re-sent duplicate returns the memoized result
+	// instead of re-evaluating.
 	SessAppend
 	// SessGet reads the session's state (seq, report, exhaustion).
 	SessGet
@@ -260,9 +261,10 @@ const (
 // SessionReply codes (SessionReply.Code). Zero is success.
 const (
 	SessOK uint32 = iota
-	// SessRetry: transient worker-side failure; the same request may be
-	// retried (the Index dedup makes appends idempotent).
-	SessRetry
+	// SessInternal: an error the worker does not classify (maps to 500).
+	// It is never re-sent: the failed append left the session's applied
+	// index where it was, but its evaluation may have poisoned the session.
+	SessInternal
 	// SessSaturated: the worker's session table or fact budget is full;
 	// place elsewhere or shed load (maps to 503 + Retry-After).
 	SessSaturated
@@ -302,9 +304,8 @@ type SessionJob struct {
 }
 
 // SessionReply answers one SessionJob. Every reply piggybacks the
-// worker's load sample (active sessions, queue depth, EWMA append
-// latency), which is what the frontend's least-loaded scheduler and
-// hedging policy feed on between health probes.
+// worker's load sample (active sessions, queue depth), which the
+// frontend's least-loaded placement feeds on between health probes.
 type SessionReply struct {
 	Req          uint64 // echoed request ID
 	Op           uint32 // echoed operation
@@ -314,8 +315,6 @@ type SessionReply struct {
 	RetryAfterMS uint32 // backpressure hint (SessSaturated/SessDraining)
 	Active       uint32 // load: live sessions on the worker
 	Queued       uint32 // load: jobs waiting in the worker's queue
-	EWMAMicros   uint64 // load: EWMA append latency, microseconds
-	AdminAddr    string // worker's HTTP admin address (health probes)
 	Blob         []byte // op result payload (pool codec)
 }
 
@@ -662,8 +661,6 @@ func AppendFrame(dst []byte, seq uint64, f Frame) []byte {
 		dst = putUvarint(dst, uint64(v.RetryAfterMS))
 		dst = putUvarint(dst, uint64(v.Active))
 		dst = putUvarint(dst, uint64(v.Queued))
-		dst = putUvarint(dst, v.EWMAMicros)
-		dst = putString(dst, v.AdminAddr)
 		dst = putBytes(dst, v.Blob)
 	default:
 		panic(fmt.Sprintf("wire: unencodable frame %T", f))
@@ -1045,8 +1042,6 @@ func DecodeFrame(b []byte) (uint64, Frame, error) {
 		p.RetryAfterMS = r.u32()
 		p.Active = r.u32()
 		p.Queued = r.u32()
-		p.EWMAMicros = r.uvarint()
-		p.AdminAddr = r.str()
 		p.Blob = r.blob()
 		f = p
 	default:
